@@ -31,11 +31,11 @@ TENANT_SMOKE_DURATION ?= 3s
 # the whole budget is spent fuzzing, not shrinking interesting inputs.
 FUZZ_TIME ?= 30s
 
-# Benchtime for the bench-smoke event-queue comparison: short, because the
+# Benchtime for the bench-smoke engine benchmarks: short, because the
 # smoke only needs a real sim_ns/wall_ns sample, not a stable median.
 BENCH_SMOKE_TIME ?= 50ms
 
-.PHONY: all build test race vet bench fmt check sweep-smoke sweep-bench loadtest tenant-smoke fuzz-smoke mesh-smoke checkpoint-smoke smp-smoke bench-smoke queue-bench adversary-smoke trace-smoke
+.PHONY: all build test race vet bench fmt check sweep-smoke sweep-bench loadtest tenant-smoke fuzz-smoke mesh-smoke checkpoint-smoke smp-smoke bench-smoke adversary-smoke trace-smoke
 
 all: build test
 
@@ -103,49 +103,27 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/simconfig
 	$(GO) test -run '^$$' -fuzz FuzzJobKey -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sweep
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/checkpoint
-	$(GO) test -run '^$$' -fuzz FuzzEventQueueDiff -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzTraceFrameDecode -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/tracestream
 
-# Event-queue equivalence and throughput smoke. The interrupt-storm
-# scenario run under -queue heap and -queue wheel must produce
-# byte-identical stdout and trace CSV (the traces are written to the same
-# path in turn so the echoed filename matches too), then the storm and
-# whole-run throughput microbenchmarks run under both queues and benchjson
-# summarizes them (before = heap, after = wheel) with the
-# sim_ns/wall_ns throughput section.
+# Run-to-run determinism and throughput smoke. Each shipped config below
+# runs twice and must produce byte-identical stdout and trace CSV (the
+# traces are written to the same path in turn so the echoed filename
+# matches too); then the event-storm and whole-run throughput
+# microbenchmarks take a short sample.
 bench-smoke:
 	$(GO) build -o /tmp/hsfqsim ./cmd/hsfqsim
-	/tmp/hsfqsim -config examples/configs/interrupt-storm.json -queue heap \
-		-trace /tmp/hsfq-queue-smoke.csv > /tmp/hsfq-queue-heap.txt
-	mv /tmp/hsfq-queue-smoke.csv /tmp/hsfq-queue-heap.csv
-	/tmp/hsfqsim -config examples/configs/interrupt-storm.json -queue wheel \
-		-trace /tmp/hsfq-queue-smoke.csv > /tmp/hsfq-queue-wheel.txt
-	cmp /tmp/hsfq-queue-heap.txt /tmp/hsfq-queue-wheel.txt
-	cmp /tmp/hsfq-queue-heap.csv /tmp/hsfq-queue-smoke.csv
+	for cfg in video-server interrupt-storm; do \
+		/tmp/hsfqsim -config examples/configs/$$cfg.json \
+			-trace /tmp/hsfq-smoke.csv > /tmp/hsfq-smoke-1.txt && \
+		mv /tmp/hsfq-smoke.csv /tmp/hsfq-smoke-1.csv && \
+		/tmp/hsfqsim -config examples/configs/$$cfg.json \
+			-trace /tmp/hsfq-smoke.csv > /tmp/hsfq-smoke-2.txt && \
+		cmp /tmp/hsfq-smoke-1.txt /tmp/hsfq-smoke-2.txt && \
+		cmp /tmp/hsfq-smoke-1.csv /tmp/hsfq-smoke.csv || exit 1; \
+	done
 	$(GO) test -run '^$$' -bench 'BenchmarkEventStorm|BenchmarkSimThroughput' -benchmem \
-		-benchtime $(BENCH_SMOKE_TIME) . | tee /tmp/hsfq-queue-bench.txt
-	grep '/heap' /tmp/hsfq-queue-bench.txt | sed 's|/heap||' > /tmp/hsfq-queue-bench-heap.txt
-	grep '/wheel' /tmp/hsfq-queue-bench.txt | sed 's|/wheel||' > /tmp/hsfq-queue-bench-wheel.txt
-	$(GO) run ./cmd/benchjson -before /tmp/hsfq-queue-bench-heap.txt \
-		-after /tmp/hsfq-queue-bench-wheel.txt -o /tmp/hsfq-queue-smoke.json
-	cat /tmp/hsfq-queue-smoke.json
-
-# Heap vs wheel across the storm/throughput microbenchmarks and the full
-# figure suite (via -benchqueue), recorded as BENCH_PR7.json
-# (before = heap, after = wheel; /heap and /wheel sub-benchmark names are
-# folded together so benchjson pairs them).
-queue-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEventStorm|BenchmarkSimThroughput' -benchmem \
-		-count $(BENCH_COUNT) -benchtime $(BENCH_TIME) . > /tmp/hsfq-queue-both.txt
-	grep '/heap' /tmp/hsfq-queue-both.txt | sed 's|/heap||' > /tmp/hsfq-queue-before.txt
-	grep '/wheel' /tmp/hsfq-queue-both.txt | sed 's|/wheel||' > /tmp/hsfq-queue-after.txt
-	$(GO) test -run '^$$' -bench 'Fig|Ablation' -benchmem -count $(BENCH_COUNT) \
-		-benchtime $(BENCH_TIME) -benchqueue heap . >> /tmp/hsfq-queue-before.txt
-	$(GO) test -run '^$$' -bench 'Fig|Ablation' -benchmem -count $(BENCH_COUNT) \
-		-benchtime $(BENCH_TIME) -benchqueue wheel . >> /tmp/hsfq-queue-after.txt
-	$(GO) run ./cmd/benchjson -before /tmp/hsfq-queue-before.txt \
-		-after /tmp/hsfq-queue-after.txt -o BENCH_PR7.json
-	cat BENCH_PR7.json
+		-benchtime $(BENCH_SMOKE_TIME) .
 
 # Distributed dispatch end to end over real processes: a 64-job sweep
 # across two hsfqd daemons (one SIGKILLed mid-sweep, hedging on) must be

@@ -256,70 +256,57 @@ func TestSpineStillAllocFreeAfterSnapshot(t *testing.T) {
 	}
 }
 
-// TestEventQueuesDoNotAllocate guards the engine's event spine under both
-// queue implementations: once the engine's event pool is warm, a
-// schedule/fire cycle (After + Step) heap-allocates nothing — for the
-// wheel, that pins Push, Min, Pop, and the intrusive bucket links as
-// zero-alloc in steady state; for the heap, the PR-1 property is kept.
+// TestEventQueuesDoNotAllocate guards the engine's event spine: once
+// the engine's event pool is warm, a schedule/fire cycle (After + Step)
+// heap-allocates nothing. The subtest is named after the engine's event
+// queue, a binary heap.
 func TestEventQueuesDoNotAllocate(t *testing.T) {
-	for _, kind := range sim.EventQueueNames() {
-		t.Run(kind, func(t *testing.T) {
-			q, err := sim.NewEventQueue(kind)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng := sim.NewEngineWith(q)
-			nop := func() {}
-			// Warm the pool with a burst larger than any steady-state set.
-			for i := 0; i < 64; i++ {
-				eng.After(sim.Time(i%7)*sim.Microsecond, nop)
-			}
+	t.Run("heap", func(t *testing.T) {
+		eng := sim.NewEngine()
+		nop := func() {}
+		// Warm the pool with a burst larger than any steady-state set.
+		for i := 0; i < 64; i++ {
+			eng.After(sim.Time(i%7)*sim.Microsecond, nop)
+		}
+		for eng.Step() {
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			// A mixed cycle: near-future, same-instant pair, and a far
+			// horizon; then drain.
+			eng.After(3*sim.Microsecond, nop)
+			eng.After(time17ms, nop)
+			eng.After(time17ms, nop)
+			eng.After(time900ms, nop)
 			for eng.Step() {
 			}
-			allocs := testing.AllocsPerRun(1000, func() {
-				// A mixed cycle: near-future, same-instant pair, and a spread
-				// that walks wheel levels; then drain.
-				eng.After(3*sim.Microsecond, nop)
-				eng.After(time17ms, nop)
-				eng.After(time17ms, nop)
-				eng.After(time900ms, nop)
-				for eng.Step() {
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("%s engine schedule/fire cycle allocates %v times, want 0", kind, allocs)
-			}
 		})
-	}
+		if allocs != 0 {
+			t.Fatalf("engine schedule/fire cycle allocates %v times, want 0", allocs)
+		}
+	})
 }
 
 // TestEventQueueCancelDoesNotAllocate guards the cancel path: scheduling
-// and cancelling through either queue reuses pooled handles.
+// and cancelling reuses pooled handles.
 func TestEventQueueCancelDoesNotAllocate(t *testing.T) {
-	for _, kind := range sim.EventQueueNames() {
-		t.Run(kind, func(t *testing.T) {
-			q, err := sim.NewEventQueue(kind)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng := sim.NewEngineWith(q)
-			nop := func() {}
-			for i := 0; i < 64; i++ {
-				eng.After(sim.Time(i)*sim.Microsecond, nop)
-			}
-			for eng.Step() {
-			}
-			allocs := testing.AllocsPerRun(1000, func() {
-				a := eng.After(5*sim.Microsecond, nop)
-				b := eng.After(time17ms, nop)
-				eng.Cancel(b)
-				eng.Cancel(a)
-			})
-			if allocs != 0 {
-				t.Fatalf("%s schedule/cancel cycle allocates %v times, want 0", kind, allocs)
-			}
+	t.Run("heap", func(t *testing.T) {
+		eng := sim.NewEngine()
+		nop := func() {}
+		for i := 0; i < 64; i++ {
+			eng.After(sim.Time(i)*sim.Microsecond, nop)
+		}
+		for eng.Step() {
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			a := eng.After(5*sim.Microsecond, nop)
+			b := eng.After(time17ms, nop)
+			eng.Cancel(b)
+			eng.Cancel(a)
 		})
-	}
+		if allocs != 0 {
+			t.Fatalf("schedule/cancel cycle allocates %v times, want 0", allocs)
+		}
+	})
 }
 
 // Durations for the alloc guards' mixed horizons, named so the closure

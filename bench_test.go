@@ -20,7 +20,7 @@ import (
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Run(id, experiments.Options{Seed: 42, EventQueue: *benchQueue})
+		res, err := experiments.Run(id, experiments.Options{Seed: 42})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,21 +118,14 @@ func BenchmarkScheduleDepth(b *testing.B) {
 // claim.
 
 func BenchmarkLeafSchedulers(b *testing.B) {
-	algos := map[string]func() sched.Scheduler{
-		"sfq":      func() sched.Scheduler { return sched.NewSFQ(10 * sim.Millisecond) },
-		"rr":       func() sched.Scheduler { return sched.NewRoundRobin(10 * sim.Millisecond) },
-		"edf":      func() sched.Scheduler { return sched.NewEDF(10 * sim.Millisecond) },
-		"rm":       func() sched.Scheduler { return sched.NewRM(10 * sim.Millisecond) },
-		"svr4":     func() sched.Scheduler { return sched.NewSVR4(nil, 100_000_000, 25*sim.Millisecond) },
-		"lottery":  func() sched.Scheduler { return sched.NewLottery(10*sim.Millisecond, sim.NewRand(1)) },
-		"stride":   func() sched.Scheduler { return sched.NewStride(10 * sim.Millisecond) },
-		"eevdf":    func() sched.Scheduler { return sched.NewEEVDF(10*sim.Millisecond, 1_000_000) },
-		"priority": func() sched.Scheduler { return sched.NewPriority(10 * sim.Millisecond) },
-		"reserves": func() sched.Scheduler { return sched.NewReserves(10 * sim.Millisecond) },
-	}
-	for name, mk := range algos {
+	// Every registered leaf, in name order, at its default parameters
+	// (10 ms quantum, 25 ms for svr4, a 100 MIPS machine).
+	for _, name := range sched.Names() {
 		b.Run(name, func(b *testing.B) {
-			s := mk()
+			s, err := sched.New(name, sched.LeafConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
 			for i := 0; i < 16; i++ {
 				t := sched.NewThread(i+1, "t", float64(i%5+1))
 				t.Period = sim.Time(i+1) * 10 * sim.Millisecond

@@ -6,7 +6,7 @@
 //
 // plus the custom whole-run throughput metric some benchmarks report:
 //
-//	BenchmarkSimThroughput/heap-4   10   1.2e7 ns/op   825.1 sim_ns/wall_ns
+//	BenchmarkSimThroughput-4   10   1.2e7 ns/op   825.1 sim_ns/wall_ns
 //
 // and aggregates repeated counts of the same benchmark by median, which is
 // what benchstat reports as the center.

@@ -26,6 +26,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strings"
 
 	"hsfq/internal/checkpoint"
@@ -74,7 +75,6 @@ func main() {
 		seed       = flag.Uint64("seed", 0, "override the config's random seed")
 		cores      = flag.Int("cores", 0, "override the config's core count (0: keep the config's)")
 		policy     = flag.String("policy", "", "override the config's multiprocessor policy: partitioned, global, or steal")
-		queue      = flag.String("queue", "", "override the config's event queue: "+strings.Join(sim.EventQueueNames(), " or ")+" (output is identical either way; the queue only changes speed)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		ckptEvery  = flag.Duration("checkpoint-every", 0, "snapshot the simulation state at this simulated-time cadence (requires -checkpoint-out)")
@@ -106,7 +106,6 @@ func main() {
 		seed:       *seed,
 		cores:      *cores,
 		policy:     *policy,
-		queue:      *queue,
 		gantt:      *gantt,
 		ganttDepth: *ganttDepth,
 		ckptEvery:  sim.Time(ckptEvery.Nanoseconds()),
@@ -142,6 +141,17 @@ func writeMemProfile(path string) error {
 	return f.Close()
 }
 
+// sortedKeys returns m's keys in ascending order, so the summary lines
+// print identically on every run.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 type runOptions struct {
 	configPath string
 	tracePath  string
@@ -149,7 +159,6 @@ type runOptions struct {
 	seed       uint64
 	cores      int
 	policy     string
-	queue      string
 	gantt      bool
 	ganttDepth bool
 	ckptEvery  sim.Time
@@ -174,9 +183,7 @@ func run(o runOptions) error {
 		if err != nil {
 			return err
 		}
-		// -queue stays legal with -resume: snapshots are queue-agnostic,
-		// so switching engines on resume cannot change the output.
-		opt := checkpoint.Options{EventQueue: o.queue}
+		var opt checkpoint.Options
 		if wantTrace {
 			if !info.HasTrace {
 				return fmt.Errorf("%s has no trace section; rerun the checkpointing side with -trace", o.resumePath)
@@ -214,9 +221,6 @@ func run(o runOptions) error {
 		}
 		if o.policy != "" {
 			cfg.Policy = o.policy
-		}
-		if o.queue != "" {
-			cfg.EventQueue = o.queue
 		}
 		if s, err = simconfig.Build(cfg, simconfig.BuildOptions{Seed: o.seed}); err != nil {
 			return err
@@ -279,12 +283,13 @@ func run(o runOptions) error {
 		}
 	}
 
-	for name, p := range s.Periodics {
+	for _, name := range sortedKeys(s.Periodics) {
+		p := s.Periodics[name]
 		fmt.Printf("periodic %q: %d rounds, %d missed deadlines, min slack %v\n",
 			name, len(p.Slack), p.MissedDeadlines(), p.MinSlack())
 	}
-	for name, d := range s.Decoders {
-		fmt.Printf("decoder %q: %d frames decoded\n", name, d.FramesDecoded(s.Config.Horizon.Time()))
+	for _, name := range sortedKeys(s.Decoders) {
+		fmt.Printf("decoder %q: %d frames decoded\n", name, s.Decoders[name].FramesDecoded(s.Config.Horizon.Time()))
 	}
 
 	if o.gantt {

@@ -191,3 +191,20 @@ func TestRunResumeWithoutTraceSection(t *testing.T) {
 	// Without -trace the same checkpoint resumes fine.
 	capture(t, func() error { return run(runOptions{resumePath: ckpt}) })
 }
+
+// TestRunSummaryDeterministic runs a shipped config with several
+// decoders repeatedly and requires byte-identical stdout: the
+// per-program summary lines must not follow map iteration order, which
+// a handful of repeats exposes with high probability.
+func TestRunSummaryDeterministic(t *testing.T) {
+	cfg := filepath.Join("..", "..", "examples", "configs", "video-server.json")
+	first := capture(t, func() error { return run(runOptions{configPath: cfg}) })
+	if !strings.Contains(first, `decoder "stream-hd"`) {
+		t.Fatalf("summary missing decoder lines:\n%s", first)
+	}
+	for i := 0; i < 9; i++ {
+		if again := capture(t, func() error { return run(runOptions{configPath: cfg}) }); again != first {
+			t.Fatalf("run %d stdout differs from the first:\n%s\nvs\n%s", i+2, again, first)
+		}
+	}
+}

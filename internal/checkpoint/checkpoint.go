@@ -56,14 +56,6 @@ type Options struct {
 	// checkpoint's trace section, so the resumed run reproduces the FULL
 	// event log of the logical run rather than just the tail.
 	Recorder *trace.Recorder
-	// EventQueue, when non-empty, overrides the embedded config's
-	// event_queue on Restore. Snapshots store pending events abstractly
-	// (time, seq, owner), never queue internals, so a run saved under one
-	// queue restores under another byte-identically; the override lets a
-	// resume switch engines without editing the checkpoint. It is ignored
-	// by Save. Note the restored Simulation's Config carries the override,
-	// so a later Save embeds the new choice.
-	EventQueue string
 }
 
 // Snapshot appends the mutable-state delta — engine clock and counters,
@@ -198,9 +190,6 @@ func Restore(data []byte, opt Options) (*simconfig.Simulation, error) {
 	var cfg simconfig.Config
 	if err := json.Unmarshal(sc.config, &cfg); err != nil {
 		return nil, fmt.Errorf("checkpoint: embedded config: %w", err)
-	}
-	if opt.EventQueue != "" {
-		cfg.EventQueue = opt.EventQueue
 	}
 	s, err := simconfig.Build(cfg, simconfig.BuildOptions{})
 	if err != nil {

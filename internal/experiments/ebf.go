@@ -23,7 +23,7 @@ func runAblationEBF(opt Options) *Result {
 	r := &Result{}
 	const horizon = 60 * sim.Second
 	quantum := 10 * sim.Millisecond
-	eng := opt.Engine()
+	eng := sim.NewEngine()
 	leaf := sched.NewSFQ(quantum)
 	m := cpu.NewMachine(eng, rate, leaf)
 	rng := sim.NewRand(opt.Seed)

@@ -27,22 +27,6 @@ type Options struct {
 	Seed uint64
 	// Plot adds crude ASCII plots of the figure's series to the output.
 	Plot bool
-	// EventQueue selects the engine's event-queue implementation by
-	// sim.NewEventQueue name ("" = default heap). Results and digests are
-	// identical for any conforming queue; the knob exists so the whole
-	// figure suite can be benchmarked under each queue.
-	EventQueue string
-}
-
-// Engine builds the experiment's event engine on the queue the options
-// select. Unknown names panic: callers validate the flag up front
-// (cmd/experiments), so here it is a programming error.
-func (o Options) Engine() *sim.Engine {
-	q, err := sim.NewEventQueue(o.EventQueue)
-	if err != nil {
-		panic(err)
-	}
-	return sim.NewEngineWith(q)
 }
 
 // DefaultOptions is used by tests and the -all command path.

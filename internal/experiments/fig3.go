@@ -54,7 +54,7 @@ func runFig3(opt Options) *Result {
 	r := &Result{}
 	// 1 instruction = 1 ms of CPU so tags read exactly as in the paper.
 	const figRate = cpu.Rate(1000)
-	eng := opt.Engine()
+	eng := sim.NewEngine()
 	leaf := sched.NewSFQ(10 * sim.Millisecond)
 	m := cpu.NewMachine(eng, figRate, leaf)
 

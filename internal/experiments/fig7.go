@@ -40,7 +40,7 @@ func runFig7a(opt Options) *Result {
 	bench := dhryPure()
 
 	runFlat := func(n int) sched.Work {
-		eng := opt.Engine()
+		eng := sim.NewEngine()
 		m := cpu.NewMachine(eng, rate, sched.NewRoundRobin(quantum))
 		m.SetDispatchCost(func(*sched.Thread) sim.Time { return flatDispatchCost })
 		for i := 0; i < n; i++ {
@@ -52,7 +52,7 @@ func runFig7a(opt Options) *Result {
 	}
 	runHier := func(n int) sched.Work {
 		f := buildFig6(2, 6, 1, quantum)
-		eng := opt.Engine()
+		eng := sim.NewEngine()
 		m := cpu.NewMachine(eng, rate, f.S)
 		m.SetDispatchCost(func(t *sched.Thread) sim.Time {
 			leaf := f.S.LeafOf(t)
@@ -105,7 +105,7 @@ func runFig7b(opt Options) *Result {
 		}
 		leafID, err := s.Mknod("leaf", parent, 1, sched.NewSFQ(quantum))
 		must(err)
-		eng := opt.Engine()
+		eng := sim.NewEngine()
 		m := cpu.NewMachine(eng, rate, s)
 		m.SetDispatchCost(func(t *sched.Thread) sim.Time {
 			return hierBaseCost + sim.Time(depth+1)*hierPerLevelCost

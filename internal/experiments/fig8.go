@@ -21,7 +21,7 @@ func runFig8a(opt Options) *Result {
 	r := &Result{}
 	const horizon = 30 * sim.Second
 	f := buildFig6(2, 6, 1, 10*sim.Millisecond)
-	eng := opt.Engine()
+	eng := sim.NewEngine()
 	m := cpu.NewMachine(eng, rate, f.S)
 	rng := sim.NewRand(opt.Seed)
 
@@ -102,7 +102,7 @@ func runFig8b(opt Options) *Result {
 	r := &Result{}
 	const horizon = 30 * sim.Second
 	f := buildFig6(1, 1, 1, 10*sim.Millisecond)
-	eng := opt.Engine()
+	eng := sim.NewEngine()
 	m := cpu.NewMachine(eng, rate, f.S)
 
 	a := attach(m, f.S, f.SFQ1, 1, "sfq-dhry-1", 1, dhryPure().Program())

@@ -23,7 +23,7 @@ func runFig9(opt Options) *Result {
 	const horizon = 30 * sim.Second
 	const quantum = 25 * sim.Millisecond
 	f := buildFig6(1, 1, 1, quantum)
-	eng := opt.Engine()
+	eng := sim.NewEngine()
 	m := cpu.NewMachine(eng, rate, f.S)
 	rng := sim.NewRand(opt.Seed)
 

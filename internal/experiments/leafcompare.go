@@ -61,7 +61,7 @@ func runAblationLeaf(opt Options) *Result {
 		} else {
 			leaf = sched.NewSFQ(5 * sim.Millisecond)
 		}
-		m := cpu.NewMachine(opt.Engine(), rate, leaf)
+		m := cpu.NewMachine(sim.NewEngine(), rate, leaf)
 
 		var out outcome
 		decoders := [2]*workload.PacedDecoder{}

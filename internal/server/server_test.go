@@ -137,8 +137,13 @@ func TestSimulateValidationErrors(t *testing.T) {
 	if resp.StatusCode != 400 {
 		t.Errorf("unknown field: %d", resp.StatusCode)
 	}
+	// The removed event-queue knob is an unknown field like any other.
+	resp, body := post(t, ts, "/v1/simulate", `{"event_queue": "heap", "nodes":[{"path":"/a","leaf":"sfq"}]}`)
+	if resp.StatusCode != 400 || !strings.Contains(string(body), "event_queue") {
+		t.Errorf("event_queue: %d %s", resp.StatusCode, body)
+	}
 	// Validation failure carries the JSON field path.
-	resp, body := post(t, ts, "/v1/simulate",
+	resp, body = post(t, ts, "/v1/simulate",
 		`{"nodes":[{"path":"/a","leaf":"bogus"}]}`)
 	if resp.StatusCode != 400 {
 		t.Fatalf("bad leaf: %d", resp.StatusCode)

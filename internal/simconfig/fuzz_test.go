@@ -40,6 +40,7 @@ func FuzzParseConfig(f *testing.F) {
 		  "threads": [{"name": "t", "leaf": "/a", "affinity": 5}]}`,
 		`{"cores": 3, "policy": "global", "nodes": [{"path": "/a", "leaf": "sfq"}],
 		  "threads": [{"name": "t", "leaf": "/a", "affinity": -1}]}`,
+		// The removed event-queue knob: rejected as an unknown field.
 		`{"event_queue": "wheel", "nodes": [{"path": "/a", "leaf": "sfq"}]}`,
 		`{"event_queue": "heap", "nodes": [{"path": "/a", "leaf": "sfq"}]}`,
 		`{"event_queue": "splay", "nodes": [{"path": "/a", "leaf": "sfq"}]}`,

@@ -139,6 +139,19 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+// TestRemovedQueueFieldRejected pins what happens to configs written
+// when the engine's event queue was selectable: strict decoding rejects
+// the field and names it, whatever value it carries.
+func TestRemovedQueueFieldRejected(t *testing.T) {
+	for _, v := range []string{"heap", "wheel"} {
+		js := `{"event_queue": "` + v + `", "nodes": [{"path": "/a", "leaf": "sfq"}]}`
+		_, err := Parse(strings.NewReader(js))
+		if err == nil || !strings.Contains(err.Error(), `"event_queue"`) {
+			t.Errorf("event_queue %q: got %v, want an error naming the field", v, err)
+		}
+	}
+}
+
 func TestRTPriorityPlacement(t *testing.T) {
 	js := `{
 	  "horizon": "2s",

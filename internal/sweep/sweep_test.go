@@ -159,6 +159,22 @@ func TestExpandErrors(t *testing.T) {
 	}
 }
 
+// TestRemovedQueueAxisRejected pins the fate of sweep specs written when
+// the event queue was a sweepable knob: an event_queue axis is an
+// unknown param, and an event_queue key in the base config is an unknown
+// field. Both errors name it.
+func TestRemovedQueueAxisRejected(t *testing.T) {
+	axis := strings.Replace(testSpec, `"param": "quantum", "target": "/soft", "values": ["5ms", "20ms"]`,
+		`"param": "event_queue", "values": ["heap", "wheel"]`, 1)
+	if _, err := Expand(parseTestSpec(t, axis)); err == nil || !strings.Contains(err.Error(), `"event_queue"`) {
+		t.Errorf("event_queue axis: got %v, want an error naming the param", err)
+	}
+	base := strings.Replace(testSpec, `"horizon": "300ms",`, `"horizon": "300ms", "event_queue": "heap",`, 1)
+	if _, err := ParseSpec(strings.NewReader(base)); err == nil || !strings.Contains(err.Error(), `"event_queue"`) {
+		t.Errorf("event_queue in base: got %v, want an error naming the field", err)
+	}
+}
+
 // TestDeterminismUnderConcurrency runs the same job on N goroutines
 // simultaneously and requires byte-identical canonical outcomes: nothing
 // in the build or run path may share state across simulations.

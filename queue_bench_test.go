@@ -1,7 +1,6 @@
 package hsfq_test
 
 import (
-	"flag"
 	"strings"
 	"testing"
 	"time"
@@ -10,51 +9,34 @@ import (
 	"hsfq/internal/simconfig"
 )
 
-// -benchqueue switches the event-queue implementation under the figure
-// benchmarks in bench_test.go, so `go test -bench Fig -benchqueue wheel`
-// measures the whole suite on the wheel. The storm and throughput
-// benchmarks below ignore it: they always run both queues as
-// sub-benchmarks for a side-by-side line.
-var benchQueue = flag.String("benchqueue", "", "event queue for the figure benchmarks: heap or wheel (default heap)")
-
 // BenchmarkEventStorm is the engine's pure event-loop hot path under
 // timer pressure: 4096 outstanding timers, each firing re-arms itself at
-// a mostly-near-future horizon (with occasional far-future jumps that
-// exercise the wheel's high levels and cascading). ns/op is the cost of
-// one pop+push cycle at that population — the regime where the wheel's
-// O(1) amortized work overtakes the heap's O(log n) comparisons.
+// a mostly-near-future horizon (with occasional far-future jumps). ns/op
+// is the cost of one pop+push cycle at that population.
 func BenchmarkEventStorm(b *testing.B) {
-	for _, kind := range sim.EventQueueNames() {
-		b.Run(kind, func(b *testing.B) {
-			q, err := sim.NewEventQueue(kind)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng := sim.NewEngineWith(q)
-			rng := sim.NewRand(7)
-			var arm func()
-			arm = func() {
-				delta := sim.Time(1_000 + rng.Int63n(1_000_000))
-				if rng.Int63n(64) == 0 {
-					delta = sim.Time(rng.Int63n(int64(10 * sim.Second)))
-				}
-				eng.After(delta, arm)
-			}
-			const outstanding = 4096
-			for i := 0; i < outstanding; i++ {
-				arm()
-			}
-			// Warm through one full population so the pool and the wheel's
-			// levels reach steady state before the timer starts.
-			for i := 0; i < outstanding; i++ {
-				eng.Step()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Step()
-			}
-		})
+	eng := sim.NewEngine()
+	rng := sim.NewRand(7)
+	var arm func()
+	arm = func() {
+		delta := sim.Time(1_000 + rng.Int63n(1_000_000))
+		if rng.Int63n(64) == 0 {
+			delta = sim.Time(rng.Int63n(int64(10 * sim.Second)))
+		}
+		eng.After(delta, arm)
+	}
+	const outstanding = 4096
+	for i := 0; i < outstanding; i++ {
+		arm()
+	}
+	// Warm through one full population so the event pool reaches steady
+	// state before the timer starts.
+	for i := 0; i < outstanding; i++ {
+		eng.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
 	}
 }
 
@@ -97,26 +79,20 @@ func BenchmarkSimThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, kind := range sim.EventQueueNames() {
-		b.Run(kind, func(b *testing.B) {
-			c := cfg
-			c.EventQueue = kind
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := time.Now()
-			var simulated sim.Time
-			for i := 0; i < b.N; i++ {
-				s, err := simconfig.Build(c, simconfig.BuildOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				s.Run()
-				simulated += s.Engine.Now()
-			}
-			wall := time.Since(start)
-			if wall > 0 {
-				b.ReportMetric(float64(simulated)/float64(wall.Nanoseconds()), "sim_ns/wall_ns")
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	var simulated sim.Time
+	for i := 0; i < b.N; i++ {
+		s, err := simconfig.Build(cfg, simconfig.BuildOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Run()
+		simulated += s.Engine.Now()
+	}
+	wall := time.Since(start)
+	if wall > 0 {
+		b.ReportMetric(float64(simulated)/float64(wall.Nanoseconds()), "sim_ns/wall_ns")
 	}
 }
