@@ -35,17 +35,23 @@ FUZZ_TIME ?= 30s
 # smoke only needs a real sim_ns/wall_ns sample, not a stable median.
 BENCH_SMOKE_TIME ?= 50ms
 
-.PHONY: all build test race vet bench fmt check sweep-smoke sweep-bench loadtest tenant-smoke fuzz-smoke mesh-smoke checkpoint-smoke smp-smoke bench-smoke adversary-smoke trace-smoke
+.PHONY: all build test race vet bench fmt check sweep-smoke sweep-bench loadtest tenant-smoke fuzz-smoke mesh-smoke checkpoint-smoke smp-smoke bench-smoke adversary-smoke trace-smoke perfbench-test
 
 all: build test
 
-check: build test vet sweep-smoke tenant-smoke fuzz-smoke mesh-smoke checkpoint-smoke smp-smoke bench-smoke adversary-smoke trace-smoke
+check: build test vet sweep-smoke tenant-smoke fuzz-smoke mesh-smoke checkpoint-smoke smp-smoke bench-smoke adversary-smoke trace-smoke perfbench-test
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# perfbench/ is a nested module, so `go test ./...` at the root skips it:
+# its own tests (exact engine counters on the sim-configs op, a short pass
+# of every workload, checkpoint round trip, BENCHMARK.json schema) run here.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Includes the sweep engine's determinism-under-concurrency tests.
 race:

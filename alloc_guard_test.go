@@ -2,6 +2,8 @@ package hsfq_test
 
 import (
 	"fmt"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -315,3 +317,30 @@ const (
 	time17ms  = 17 * sim.Millisecond
 	time900ms = 900 * sim.Millisecond
 )
+
+// TestBuildVideoServerAllocatesLittle guards the Build layer's cost:
+// building video-server.json's three looping 100 000-frame MPEG decoders
+// must not generate their frames up front (2.4 MB of costs, most of
+// which a run never decodes). Decoders draw each frame when first
+// decoded, so Build allocates only the structure, threads and programs.
+func TestBuildVideoServerAllocatesLittle(t *testing.T) {
+	f, err := os.Open("examples/configs/video-server.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := simconfig.Parse(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := simconfig.Build(cfg, simconfig.BuildOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 1 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Fatalf("Build(video-server.json) allocated %d bytes, want < %d", got, limit)
+	}
+}

@@ -28,29 +28,17 @@ type Event struct {
 // (either by firing or by Engine.Cancel).
 func (e *Event) Cancelled() bool { return e.idx == -1 }
 
-// HeapLess implements sim.HeapItem: earlier time first, FIFO at the same
-// instant.
-func (e *Event) HeapLess(o *Event) bool {
-	if e.At != o.At {
-		return e.At < o.At
-	}
-	return e.seq < o.seq
-}
-
-// HeapIndex implements sim.HeapItem.
-func (e *Event) HeapIndex() *int { return &e.idx }
-
 // Engine is the discrete-event simulation loop. The zero value is not
 // usable; create one with NewEngine.
 //
-// Pending events live in an intrusive binary min-heap ordered by
-// HeapLess: ascending At, and ascending seq among events at the same
+// Pending events live in an intrusive binary min-heap (eventHeap)
+// ordered by ascending At, and ascending seq among events at the same
 // instant. Because At panics on past times and AtSeq forbids reused
 // sequence numbers, (At, seq) is a strict total order, so the pop
 // sequence is fully determined by the schedule calls.
 type Engine struct {
 	now    Time
-	queue  Heap[*Event]
+	queue  eventHeap
 	free   []*Event // fired/cancelled events awaiting reuse
 	seq    uint64
 	fired  uint64
@@ -160,7 +148,7 @@ func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.idx == -1 {
 		return
 	}
-	e.queue.Remove(ev.idx)
+	e.queue.Remove(ev)
 	e.release(ev)
 }
 

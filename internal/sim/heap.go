@@ -1,13 +1,19 @@
 package sim
 
-// This file provides the intrusive min-heap used by every priority queue
-// on the scheduling hot path: the simulation event queue, the runnable
-// child heaps of the hierarchy (internal/core), and the heap-based leaf
-// schedulers (internal/sched). It replaces container/heap, whose
-// interface-typed Push/Pop box every element into an `any` and dispatch
-// every comparison through an interface table; here elements carry their
-// own index and the comparison is a direct (generic) method call, so a
+// This file provides the intrusive min-heap used by the scheduler-side
+// priority queues: the runnable child heaps of the hierarchy
+// (internal/core) and the heap-based leaf schedulers (internal/sched).
+// It replaces container/heap, whose interface-typed Push/Pop box every
+// element into an `any` and dispatch every comparison through an
+// interface table; here elements carry their own index, so a
 // steady-state push/pop/fix cycle performs no allocation at all.
+//
+// Go compiles Heap[T] for every pointer T to one shared body that reaches
+// HeapLess and HeapIndex through a dictionary, so neither call inlines.
+// The engine's event queue runs once per simulated event, where that cost
+// dominates, so it uses a concrete copy of the same algorithm instead
+// (eventHeap, eventheap.go); the scheduler heaps together cost a few
+// percent of a run and stay generic.
 //
 // The sift-up/sift-down algorithm is the same as container/heap's, and
 // because HeapLess is required to be a strict total order (keys tie-broken

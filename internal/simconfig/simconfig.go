@@ -625,7 +625,7 @@ func buildProgram(s *Simulation, tc ThreadConfig, rate cpu.Rate, rng *sim.Rand) 
 			frames = 100000
 		}
 		gen := workload.DefaultMPEG(int64(rate), rng.Fork())
-		dec := workload.NewDecoder(gen.Trace(frames), pc.Loop)
+		dec := workload.NewMPEGDecoder(gen, frames, pc.Loop)
 		s.Decoders[tc.Name] = dec
 		return dec, nil
 	case "trace":

@@ -82,41 +82,64 @@ func (m MPEG) validate() {
 
 // Trace generates the decode costs of n consecutive frames.
 func (m MPEG) Trace(n int) []sched.Work {
-	m.validate()
+	g := m.frames()
 	out := make([]sched.Work, n)
-	sceneLeft := 0
-	sceneMul := 1.0
-	for i := 0; i < n; i++ {
-		if sceneLeft == 0 {
-			// Geometric scene length with the configured mean.
-			sceneLeft = 1 + int(m.Rand.ExpFloat64()*float64(m.SceneMeanFrames))
-			sceneMul = m.SceneLow + m.Rand.Float64()*(m.SceneHigh-m.SceneLow)
-		}
-		sceneLeft--
-		var mean sched.Work
-		switch m.GOP[i%len(m.GOP)] {
-		case 'I':
-			mean = m.IMean
-		case 'P':
-			mean = m.PMean
-		default:
-			mean = m.BMean
-		}
-		jitter := 1 + m.Noise*(2*m.Rand.Float64()-1)
-		w := sched.Work(float64(mean) * sceneMul * jitter)
-		if w < 1 {
-			w = 1
-		}
-		out[i] = w
+	for i := range out {
+		out[i] = g.next()
 	}
 	return out
+}
+
+// frames returns a generator positioned at the stream's first frame.
+func (m MPEG) frames() *frameGen {
+	m.validate()
+	return &frameGen{m: m, sceneMul: 1}
+}
+
+// frameGen draws an MPEG stream's frame costs one at a time, in order:
+// the i-th call to next returns Trace(n)[i] for any n > i, because both
+// consume the same draws from m.Rand.
+type frameGen struct {
+	m         MPEG
+	i         int // index of the next frame
+	sceneLeft int
+	sceneMul  float64
+}
+
+// next returns the decode cost of the next frame.
+func (g *frameGen) next() sched.Work {
+	m := &g.m
+	if g.sceneLeft == 0 {
+		// Geometric scene length with the configured mean.
+		g.sceneLeft = 1 + int(m.Rand.ExpFloat64()*float64(m.SceneMeanFrames))
+		g.sceneMul = m.SceneLow + m.Rand.Float64()*(m.SceneHigh-m.SceneLow)
+	}
+	g.sceneLeft--
+	var mean sched.Work
+	switch m.GOP[g.i%len(m.GOP)] {
+	case 'I':
+		mean = m.IMean
+	case 'P':
+		mean = m.PMean
+	default:
+		mean = m.BMean
+	}
+	g.i++
+	jitter := 1 + m.Noise*(2*m.Rand.Float64()-1)
+	w := sched.Work(float64(mean) * g.sceneMul * jitter)
+	if w < 1 {
+		w = 1
+	}
+	return w
 }
 
 // Decoder is a thread program that decodes a frame trace as fast as its
 // CPU allocation allows, like the Berkeley MPEG player free-running in the
 // paper's Fig. 10 experiment. FramesDecoded(now) is the reproduced metric.
 type Decoder struct {
-	trace     []sched.Work
+	trace     []sched.Work // frames drawn so far; never shorter than idx
+	n         int          // trace length; frames past len(trace) come from gen
+	gen       *frameGen
 	idx       int
 	doneTimes []sim.Time
 	loop      bool
@@ -128,7 +151,19 @@ func NewDecoder(trace []sched.Work, loop bool) *Decoder {
 	if len(trace) == 0 {
 		panic("workload: decoder with empty trace")
 	}
-	return &Decoder{trace: trace, loop: loop}
+	return &Decoder{trace: trace, n: len(trace), loop: loop}
+}
+
+// NewMPEGDecoder returns a decoder over the first n frames of m's stream,
+// behaving exactly like NewDecoder(m.Trace(n), loop) but drawing frame i
+// only when it is first decoded, so a run pays for the frames it reaches
+// rather than all n. Drawing late is identical only while nothing else
+// consumes m.Rand, so m must own a private stream (a Rand.Fork()).
+func NewMPEGDecoder(m MPEG, n int, loop bool) *Decoder {
+	if n <= 0 {
+		panic("workload: decoder with empty trace")
+	}
+	return &Decoder{n: n, gen: m.frames(), loop: loop}
 }
 
 // Next implements cpu.Program.
@@ -136,11 +171,14 @@ func (d *Decoder) Next(now sim.Time) cpu.Action {
 	if d.idx > 0 || len(d.doneTimes) > 0 {
 		d.doneTimes = append(d.doneTimes, now)
 	}
-	if d.idx >= len(d.trace) {
+	if d.idx >= d.n {
 		if !d.loop {
 			return cpu.Exit()
 		}
 		d.idx = 0
+	}
+	if d.idx == len(d.trace) { // first decode of this frame: draw it
+		d.trace = append(d.trace, d.gen.next())
 	}
 	w := d.trace[d.idx]
 	d.idx++

@@ -117,8 +117,11 @@ func (p *Decoder) LoadState(d *sim.Dec) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if idx < 0 || idx > len(p.trace) {
-		return fmt.Errorf("workload: decoder position %d out of range [0, %d]", idx, len(p.trace))
+	if idx < 0 || idx > p.n {
+		return fmt.Errorf("workload: decoder position %d out of range [0, %d]", idx, p.n)
+	}
+	for len(p.trace) < idx {
+		p.trace = append(p.trace, p.gen.next())
 	}
 	p.idx = idx
 	p.doneTimes = times

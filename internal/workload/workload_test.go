@@ -186,6 +186,68 @@ func TestDecoderLoops(t *testing.T) {
 	}
 }
 
+// TestMPEGDecoderMatchesTrace pins the on-demand decoder to the eager
+// one: drawing frames as they are decoded must yield exactly
+// NewDecoder(Trace(n)), through wraps, at the end of a finite stream,
+// and across a save/restore into a freshly built decoder.
+func TestMPEGDecoderMatchesTrace(t *testing.T) {
+	const rate, seed, n = 100_000_000, 9, 23
+	gen := func() MPEG { return DefaultMPEG(rate, sim.NewRand(seed)) }
+	trace := gen().Trace(n)
+
+	t.Run("loop", func(t *testing.T) {
+		d := NewMPEGDecoder(gen(), n, true)
+		for i := 0; i < 3*n+5; i++ {
+			if a := d.Next(sim.Time(i)); a.Kind != cpu.ActionCompute || a.Work != trace[i%n] {
+				t.Fatalf("frame %d: %+v, want compute %d", i, a, trace[i%n])
+			}
+		}
+	})
+
+	t.Run("finite", func(t *testing.T) {
+		d := NewMPEGDecoder(gen(), n, false)
+		for i := 0; i < n; i++ {
+			if a := d.Next(sim.Time(i)); a.Work != trace[i] {
+				t.Fatalf("frame %d: %+v, want %d", i, a, trace[i])
+			}
+		}
+		if a := d.Next(n); a.Kind != cpu.ActionExit {
+			t.Fatalf("after %d frames: %+v, want exit", n, a)
+		}
+	})
+
+	t.Run("restore", func(t *testing.T) {
+		for _, k := range []int{0, 1, n / 2, n - 1, n, n + 7, 2*n + 3} {
+			orig := NewMPEGDecoder(gen(), n, true)
+			for i := 0; i < k; i++ {
+				orig.Next(sim.Time(i))
+			}
+			var e sim.Enc
+			orig.SaveState(&e)
+			fresh := NewMPEGDecoder(gen(), n, true)
+			if err := fresh.LoadState(sim.NewDec(e.Bytes())); err != nil {
+				t.Fatalf("after %d frames: %v", k, err)
+			}
+			for i := k; i < k+2*n; i++ {
+				if a, b := orig.Next(sim.Time(i)), fresh.Next(sim.Time(i)); a != b {
+					t.Fatalf("restored after %d frames: frame %d %+v, original %+v", k, i, b, a)
+				}
+			}
+		}
+	})
+
+	t.Run("out of range", func(t *testing.T) {
+		var e sim.Enc
+		e.Int(n + 1)
+		saveTimes(&e, nil)
+		err := NewMPEGDecoder(gen(), n, true).LoadState(sim.NewDec(e.Bytes()))
+		want := "workload: decoder position 24 out of range [0, 23]"
+		if err == nil || err.Error() != want {
+			t.Fatalf("LoadState(idx %d) = %v, want %q", n+1, err, want)
+		}
+	})
+}
+
 func TestPacedDecoderDeadlines(t *testing.T) {
 	period := 33 * sim.Millisecond
 	d := NewPacedDecoder([]sched.Work{100, 100, 100}, period)
