@@ -104,19 +104,23 @@ tenant-smoke:
 # Short coverage-guided runs of each fuzz target on top of the checked-in
 # corpora: config intake must never panic, content addresses must survive
 # the wire round trip and vary with the seed, and no byte stream may
-# panic the trace-frame decoder or make it allocate unboundedly.
+# panic the trace-frame decoder or make it allocate unboundedly, and the
+# packet fair-queuing algorithms must serve in the order of a reference
+# model that scans every queued packet.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/simconfig
 	$(GO) test -run '^$$' -fuzz FuzzJobKey -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sweep
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzTraceFrameDecode -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/tracestream
+	$(GO) test -run '^$$' -fuzz FuzzPacketOrder -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/fairqueue
 
 # Run-to-run determinism and throughput smoke. Each shipped config below
 # runs twice and must produce byte-identical stdout and trace CSV (the
 # traces are written to the same path in turn so the echoed filename
 # matches too); then the event-storm and whole-run throughput
-# microbenchmarks take a short sample.
+# microbenchmarks, the packet algorithms and the two packet-level
+# ablations take a short sample.
 bench-smoke:
 	$(GO) build -o /tmp/hsfqsim ./cmd/hsfqsim
 	for cfg in video-server interrupt-storm; do \
@@ -128,8 +132,8 @@ bench-smoke:
 		cmp /tmp/hsfq-smoke-1.txt /tmp/hsfq-smoke-2.txt && \
 		cmp /tmp/hsfq-smoke-1.csv /tmp/hsfq-smoke.csv || exit 1; \
 	done
-	$(GO) test -run '^$$' -bench 'BenchmarkEventStorm|BenchmarkSimThroughput' -benchmem \
-		-benchtime $(BENCH_SMOKE_TIME) .
+	$(GO) test -run '^$$' -bench 'BenchmarkEventStorm|BenchmarkSimThroughput|BenchmarkPacketAlgorithms|BenchmarkAblationFairness|BenchmarkAblationDelay' \
+		-benchmem -benchtime $(BENCH_SMOKE_TIME) .
 
 # Distributed dispatch end to end over real processes: a 64-job sweep
 # across two hsfqd daemons (one SIGKILLed mid-sweep, hedging on) must be

@@ -9,6 +9,7 @@ import (
 
 	"hsfq/internal/checkpoint"
 	"hsfq/internal/core"
+	"hsfq/internal/fairqueue"
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
 	"hsfq/internal/simconfig"
@@ -342,5 +343,59 @@ func TestBuildVideoServerAllocatesLittle(t *testing.T) {
 	const limit = 1 << 20
 	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
 		t.Fatalf("Build(video-server.json) allocated %d bytes, want < %d", got, limit)
+	}
+}
+
+// packetAlgorithms builds each packet fair-queuing algorithm, in a fixed
+// order, over the given weights.
+func packetAlgorithms(weights []float64) []fairqueue.Algorithm {
+	return []fairqueue.Algorithm{
+		fairqueue.NewSFQ(weights),
+		fairqueue.NewSCFQ(weights),
+		fairqueue.NewWFQ(1e6, weights),
+		fairqueue.NewFQS(1e6, weights),
+	}
+}
+
+// TestPacketAlgorithmsDoNotAllocate guards the packet servers' hot path:
+// queued packets are linked through the packets themselves, one FIFO per
+// flow, so an Arrive+Dequeue+Complete cycle on caller-owned packets
+// allocates nothing — with packets of every flow left queued behind it.
+func TestPacketAlgorithmsDoNotAllocate(t *testing.T) {
+	weights := []float64{1, 2, 3, 4}
+	for _, alg := range packetAlgorithms(weights) {
+		t.Run(alg.Name(), func(t *testing.T) {
+			backlog := make([]fairqueue.Packet, 64)
+			for i := range backlog {
+				backlog[i] = fairqueue.Packet{Flow: i % len(weights), Size: 1000}
+				alg.Arrive(&backlog[i], 0)
+			}
+			pkts := make([]fairqueue.Packet, 256)
+			now, i := sim.Time(0), 0
+			allocs := testing.AllocsPerRun(1000, func() {
+				p := &pkts[i%len(pkts)]
+				i++
+				*p = fairqueue.Packet{Flow: i % len(weights), Size: 1000, Arrive: now}
+				alg.Arrive(p, now)
+				q := alg.Dequeue(now)
+				now += sim.Millisecond
+				alg.Complete(q, now)
+			})
+			if allocs != 0 {
+				t.Fatalf("%s Arrive/Dequeue/Complete allocates %v times per packet, want 0", alg.Name(), allocs)
+			}
+		})
+	}
+}
+
+// TestPacketGeneratorsAllocateConstant guards Batch and Spaced: one slab
+// of packets plus the pointer slice, whatever the packet count.
+func TestPacketGeneratorsAllocateConstant(t *testing.T) {
+	for _, n := range []int{1, 100, 10000} {
+		batch := testing.AllocsPerRun(10, func() { fairqueue.Batch(0, 1000, n, 0) })
+		spaced := testing.AllocsPerRun(10, func() { fairqueue.Spaced(0, 1000, n, 0, sim.Millisecond) })
+		if batch != 2 || spaced != 2 {
+			t.Errorf("n=%d: Batch allocates %v times, Spaced %v, want 2 each", n, batch, spaced)
+		}
 	}
 }

@@ -169,18 +169,11 @@ func BenchmarkMachineSimulation(b *testing.B) {
 }
 
 // BenchmarkPacketAlgorithms measures packet-level Arrive+Dequeue+Complete
-// across the fair queuing family.
+// across the fair queuing family, in a fixed order.
 func BenchmarkPacketAlgorithms(b *testing.B) {
 	weights := []float64{1, 2, 3, 4}
-	algos := map[string]func() fairqueue.Algorithm{
-		"sfq":  func() fairqueue.Algorithm { return fairqueue.NewSFQ(weights) },
-		"scfq": func() fairqueue.Algorithm { return fairqueue.NewSCFQ(weights) },
-		"wfq":  func() fairqueue.Algorithm { return fairqueue.NewWFQ(1e6, weights) },
-		"fqs":  func() fairqueue.Algorithm { return fairqueue.NewFQS(1e6, weights) },
-	}
-	for name, mk := range algos {
-		b.Run(name, func(b *testing.B) {
-			alg := mk()
+	for _, alg := range packetAlgorithms(weights) {
+		b.Run(alg.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			now := sim.Time(0)

@@ -28,13 +28,12 @@ func runAblationFairness(opt Options) *Result {
 	r := &Result{}
 	const nominal = float64(rate) // work/sec
 	pkt := sched.Work(rate / 1000)
-	mkPackets := func() []*fairqueue.Packet {
-		return fairqueue.Merge(
-			fairqueue.Batch(0, pkt, 30000, 0),
-			fairqueue.Batch(1, pkt, 30000, 0),
-			fairqueue.Batch(2, pkt, 30000, 4*sim.Second),
-		)
-	}
+	// One packet set serves every algorithm: each Run restamps it.
+	pkts := fairqueue.Merge(
+		fairqueue.Batch(0, pkt, 30000, 0),
+		fairqueue.Batch(1, pkt, 30000, 0),
+		fairqueue.Batch(2, pkt, 30000, 4*sim.Second),
+	)
 	changes := []fairqueue.RateChange{
 		{At: 0, Rate: nominal},
 		{At: 2 * sim.Second, Rate: nominal / 5},
@@ -61,7 +60,7 @@ func runAblationFairness(opt Options) *Result {
 	share2 := map[string]float64{}
 	for _, c := range cases {
 		srv := fairqueue.NewServer(c.alg, changes)
-		served := srv.Run(mkPackets())
+		served := srv.Run(pkts)
 		norm := fairqueue.NormalizedService(srv, served, weights, window[0], window[1])
 		gap := fairqueue.MaxGap(norm)
 		total := norm[0] + norm[1] + norm[2]
@@ -102,16 +101,15 @@ func runAblationDelay(opt Options) *Result {
 	const nominal = float64(rate)
 	weights := []float64{1, 9}
 	req := sched.Work(rate / 100) // 10 ms of service
-	mk := func() []*fairqueue.Packet {
-		return fairqueue.Merge(
-			fairqueue.Spaced(0, req, 50, 0, 500*sim.Millisecond),
-			fairqueue.Batch(1, req, 100000, 0),
-		)
-	}
+	// One packet set serves every algorithm: each Run restamps it.
+	pkts := fairqueue.Merge(
+		fairqueue.Spaced(0, req, 50, 0, 500*sim.Millisecond),
+		fairqueue.Batch(1, req, 100000, 0),
+	)
 
 	maxDelay := func(alg fairqueue.Algorithm) sim.Time {
 		srv := fairqueue.ConstantServer(alg, nominal)
-		served := srv.Run(mk())
+		served := srv.Run(pkts)
 		var worst sim.Time
 		for _, p := range served {
 			if p.Flow == 0 {

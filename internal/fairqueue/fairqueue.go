@@ -13,6 +13,19 @@
 //
 // The units mirror the rest of the repository: packet sizes are work
 // (instructions), rates are work per second.
+//
+// Queued packets sit in one FIFO per flow, not in one priority queue.
+// All four algorithms stamp a flow's packets with tags that never
+// decrease — S = max(v, F_prev) >= F_prev and F = S + size/w >= S, exact
+// in IEEE arithmetic for size >= 0 and w > 0 — and break ties by arrival
+// order, so the packet to serve next is always at the head of some flow.
+// An arrival appends to its flow in O(1) without allocating; a dequeue
+// scans the flow heads, O(flows). Fair queuing runs over a handful of
+// flows and up to 10^5 backlogged packets (the A2 ablation), where a
+// packet heap's O(log packets) sift would dominate the run. Constructors
+// reject weights that are not positive and Arrive rejects negative sizes,
+// the inputs that would break the ordering; the queue itself panics if a
+// flow's tags ever go backwards.
 package fairqueue
 
 import (
@@ -28,14 +41,16 @@ type Packet struct {
 	Size   sched.Work
 	Arrive sim.Time
 
-	// Outputs, filled by the algorithm and server.
+	// Outputs, filled by the algorithm and server. Every Server.Run
+	// restamps all of them, so one packet set can be served by several
+	// algorithms in turn.
 	Start    float64  // start tag (SFQ/FQS/WFQ)
 	Finish   float64  // finish tag
 	Began    sim.Time // service start in the real server
 	Departed sim.Time // service completion in the real server
 
-	seq int
-	idx int
+	seq  int     // arrival order within the algorithm, the tie-break
+	next *Packet // next queued packet of the same flow
 }
 
 // Algorithm is a work-conserving packet scheduler over a fixed set of
@@ -54,81 +69,109 @@ type Algorithm interface {
 	Backlogged() int
 }
 
-// packetHeap is an intrusive min-heap of packets ordered by a tag then
-// FIFO. The tag is selected by byFinish (start tags for SFQ/FQS, finish
-// tags for SCFQ/WFQ) so push and pop stay direct calls with no interface
-// boxing or per-comparison indirection.
-type packetHeap struct {
-	pkts     []*Packet
-	byFinish bool // order by Finish tag instead of Start
+// flowQueues holds the queued packets of one algorithm as a FIFO per
+// flow, linked through Packet.next, ordered by a tag then arrival. The
+// tag is selected by byFinish (start tags for SFQ/FQS, finish tags for
+// SCFQ/WFQ). Each flow's FIFO is sorted (see the package doc), so the
+// least packet is the least flow head.
+type flowQueues struct {
+	head, tail []*Packet
+	n          int
+	seq        int
+	byFinish   bool
 }
 
-func (h *packetHeap) less(a, b *Packet) bool {
-	ka, kb := a.Start, b.Start
-	if h.byFinish {
-		ka, kb = a.Finish, b.Finish
+func newFlowQueues(flows int, byFinish bool) flowQueues {
+	return flowQueues{
+		head:     make([]*Packet, flows),
+		tail:     make([]*Packet, flows),
+		byFinish: byFinish,
 	}
+}
+
+func (q *flowQueues) key(p *Packet) float64 {
+	if q.byFinish {
+		return p.Finish
+	}
+	return p.Start
+}
+
+func (q *flowQueues) less(a, b *Packet) bool {
+	ka, kb := q.key(a), q.key(b)
 	if ka != kb {
 		return ka < kb
 	}
 	return a.seq < b.seq
 }
 
-func (h *packetHeap) swap(i, j int) {
-	h.pkts[i], h.pkts[j] = h.pkts[j], h.pkts[i]
-	h.pkts[i].idx = i
-	h.pkts[j].idx = j
+// push stamps p's arrival order and appends it to its flow. p's seq is
+// the newest, so it sorts after the flow's tail unless its tag is below
+// the tail's; that would break the FIFO ordering every dequeue relies
+// on. The comparison is written so a NaN tag fails too.
+func (q *flowQueues) push(p *Packet) {
+	p.seq = q.seq
+	q.seq++
+	p.next = nil
+	if t := q.tail[p.Flow]; t == nil {
+		q.head[p.Flow] = p
+	} else {
+		if kp, kt := q.key(p), q.key(t); !(kp >= kt) {
+			panic(fmt.Sprintf("fairqueue: flow %d tag %v below its tail's tag %v", p.Flow, kp, kt))
+		}
+		t.next = p
+	}
+	q.tail[p.Flow] = p
+	q.n++
 }
 
-func (h *packetHeap) push(p *Packet) {
-	p.idx = len(h.pkts)
-	h.pkts = append(h.pkts, p)
-	h.up(p.idx)
+// first returns the least queued packet, or nil.
+func (q *flowQueues) first() *Packet {
+	var best *Packet
+	for _, h := range q.head {
+		if h != nil && (best == nil || q.less(h, best)) {
+			best = h
+		}
+	}
+	return best
 }
 
-func (h *packetHeap) pop() *Packet {
-	n := len(h.pkts) - 1
-	h.swap(0, n)
-	h.down(0, n)
-	p := h.pkts[n]
-	h.pkts[n] = nil
-	p.idx = -1
-	h.pkts = h.pkts[:n]
+// pop removes and returns the least queued packet, or nil.
+func (q *flowQueues) pop() *Packet {
+	p := q.first()
+	if p == nil {
+		return nil
+	}
+	q.head[p.Flow] = p.next
+	if p.next == nil {
+		q.tail[p.Flow] = nil
+	}
+	p.next = nil
+	q.n--
 	return p
 }
 
-func (h *packetHeap) up(j int) {
-	for j > 0 {
-		i := (j - 1) / 2
-		if !h.less(h.pkts[j], h.pkts[i]) {
-			break
+// Backlogged implements Algorithm.
+func (q *flowQueues) Backlogged() int { return q.n }
+
+// checkWeights rejects weights that are not positive, NaN included: a
+// negative or NaN weight makes F = S + size/w fall below S and would
+// silently reorder service.
+func checkWeights(weights []float64) {
+	for f, w := range weights {
+		if !(w > 0) {
+			panic(fmt.Sprintf("fairqueue: flow %d weight %v, want > 0", f, w))
 		}
-		h.swap(i, j)
-		j = i
 	}
 }
 
-func (h *packetHeap) down(i, n int) {
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
-			return
-		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h.less(h.pkts[j2], h.pkts[j1]) {
-			j = j2
-		}
-		if !h.less(h.pkts[j], h.pkts[i]) {
-			return
-		}
-		h.swap(i, j)
-		i = j
+// checkPacket rejects a packet whose flow is out of range or whose size
+// is negative (which would make its finish tag precede its start tag).
+func checkPacket(weights []float64, p *Packet) {
+	if p.Flow < 0 || p.Flow >= len(weights) {
+		panic(fmt.Sprintf("fairqueue: flow %d out of range", p.Flow))
 	}
-}
-
-func checkFlow(weights []float64, flow int) {
-	if flow < 0 || flow >= len(weights) {
-		panic(fmt.Sprintf("fairqueue: flow %d out of range", flow))
+	if p.Size < 0 {
+		panic(fmt.Sprintf("fairqueue: flow %d packet size %d < 0", p.Flow, p.Size))
 	}
 }
 
@@ -137,18 +180,21 @@ func checkFlow(weights []float64, flow int) {
 // packet in service (max finish tag while idle). Its fairness is
 // independent of server rate fluctuation.
 type SFQ struct {
+	flowQueues
 	weights   []float64
 	flowF     []float64
-	heap      packetHeap
-	vtime     float64
 	maxFinish float64
 	inService *Packet
-	seq       int
 }
 
 // NewSFQ returns a packet SFQ over flows with the given weights.
 func NewSFQ(weights []float64) *SFQ {
-	return &SFQ{weights: weights, flowF: make([]float64, len(weights))}
+	checkWeights(weights)
+	return &SFQ{
+		flowQueues: newFlowQueues(len(weights), false),
+		weights:    weights,
+		flowF:      make([]float64, len(weights)),
+	}
 }
 
 // Name implements Algorithm.
@@ -159,15 +205,15 @@ func (s *SFQ) VirtualTime() float64 {
 	if s.inService != nil {
 		return s.inService.Start
 	}
-	if len(s.heap.pkts) > 0 {
-		return s.heap.pkts[0].Start
+	if p := s.first(); p != nil {
+		return p.Start
 	}
 	return s.maxFinish
 }
 
 // Arrive implements Algorithm.
 func (s *SFQ) Arrive(p *Packet, now sim.Time) {
-	checkFlow(s.weights, p.Flow)
+	checkPacket(s.weights, p)
 	v := s.VirtualTime()
 	p.Start = v
 	if f := s.flowF[p.Flow]; f > p.Start {
@@ -175,18 +221,15 @@ func (s *SFQ) Arrive(p *Packet, now sim.Time) {
 	}
 	p.Finish = p.Start + float64(p.Size)/s.weights[p.Flow]
 	s.flowF[p.Flow] = p.Finish
-	p.seq = s.seq
-	s.seq++
-	s.heap.push(p)
+	s.push(p)
 }
 
 // Dequeue implements Algorithm.
 func (s *SFQ) Dequeue(now sim.Time) *Packet {
-	if len(s.heap.pkts) == 0 {
-		return nil
+	p := s.pop()
+	if p != nil {
+		s.inService = p
 	}
-	p := s.heap.pop()
-	s.inService = p
 	return p
 }
 
@@ -200,27 +243,24 @@ func (s *SFQ) Complete(p *Packet, now sim.Time) {
 	}
 }
 
-// Backlogged implements Algorithm.
-func (s *SFQ) Backlogged() int { return len(s.heap.pkts) }
-
 // SCFQ is Self-Clocked Fair Queuing [2,4]: tags as in WFQ but v(t)
 // approximated by the finish tag of the packet in service; serve in
 // finish-tag order.
 type SCFQ struct {
+	flowQueues
 	weights   []float64
 	flowF     []float64
-	heap      packetHeap
 	vtime     float64
 	inService *Packet
-	seq       int
 }
 
 // NewSCFQ returns a packet SCFQ over flows with the given weights.
 func NewSCFQ(weights []float64) *SCFQ {
+	checkWeights(weights)
 	return &SCFQ{
-		weights: weights,
-		flowF:   make([]float64, len(weights)),
-		heap:    packetHeap{byFinish: true},
+		flowQueues: newFlowQueues(len(weights), true),
+		weights:    weights,
+		flowF:      make([]float64, len(weights)),
 	}
 }
 
@@ -229,7 +269,7 @@ func (s *SCFQ) Name() string { return "scfq" }
 
 // Arrive implements Algorithm.
 func (s *SCFQ) Arrive(p *Packet, now sim.Time) {
-	checkFlow(s.weights, p.Flow)
+	checkPacket(s.weights, p)
 	v := s.vtime
 	if s.inService != nil {
 		v = s.inService.Finish
@@ -240,18 +280,15 @@ func (s *SCFQ) Arrive(p *Packet, now sim.Time) {
 	}
 	p.Finish = p.Start + float64(p.Size)/s.weights[p.Flow]
 	s.flowF[p.Flow] = p.Finish
-	p.seq = s.seq
-	s.seq++
-	s.heap.push(p)
+	s.push(p)
 }
 
 // Dequeue implements Algorithm.
 func (s *SCFQ) Dequeue(now sim.Time) *Packet {
-	if len(s.heap.pkts) == 0 {
-		return nil
+	p := s.pop()
+	if p != nil {
+		s.inService = p
 	}
-	p := s.heap.pop()
-	s.inService = p
 	return p
 }
 
@@ -262,6 +299,3 @@ func (s *SCFQ) Complete(p *Packet, now sim.Time) {
 		s.vtime = p.Finish
 	}
 }
-
-// Backlogged implements Algorithm.
-func (s *SCFQ) Backlogged() int { return len(s.heap.pkts) }

@@ -10,21 +10,13 @@ import (
 
 const mega = 1_000_000
 
-func algorithms(capacity float64, weights []float64) map[string]Algorithm {
-	return map[string]Algorithm{
-		"sfq":  NewSFQ(weights),
-		"scfq": NewSCFQ(weights),
-		"wfq":  NewWFQ(capacity, weights),
-		"fqs":  NewFQS(capacity, weights),
-	}
-}
-
 // TestProportionalOnConstantServer: on a constant-rate server with all
 // flows continuously backlogged, every algorithm shares in proportion to
 // weights.
 func TestProportionalOnConstantServer(t *testing.T) {
 	weights := []float64{1, 2, 3}
-	for name, alg := range algorithms(mega, weights) {
+	for _, name := range algorithmNames {
+		alg := newAlgorithm(name, mega, weights)
 		t.Run(name, func(t *testing.T) {
 			pkts := Merge(
 				Batch(0, 1000, 4000, 0),

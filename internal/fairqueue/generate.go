@@ -9,21 +9,26 @@ import (
 
 // Batch returns n packets of the given size for one flow, all arriving at
 // the same instant — the standard way to make a flow continuously
-// backlogged in a packet-level experiment.
+// backlogged in a packet-level experiment. The packets share one
+// backing array, so a batch costs two allocations whatever n is.
 func Batch(flow int, size sched.Work, n int, at sim.Time) []*Packet {
+	slab := make([]Packet, n)
 	out := make([]*Packet, n)
 	for i := range out {
-		out[i] = &Packet{Flow: flow, Size: size, Arrive: at}
+		slab[i] = Packet{Flow: flow, Size: size, Arrive: at}
+		out[i] = &slab[i]
 	}
 	return out
 }
 
 // Spaced returns n packets of the given size for one flow arriving every
-// gap starting at start.
+// gap starting at start, allocated like Batch.
 func Spaced(flow int, size sched.Work, n int, start, gap sim.Time) []*Packet {
+	slab := make([]Packet, n)
 	out := make([]*Packet, n)
 	for i := range out {
-		out[i] = &Packet{Flow: flow, Size: size, Arrive: start + sim.Time(i)*gap}
+		slab[i] = Packet{Flow: flow, Size: size, Arrive: start + sim.Time(i)*gap}
+		out[i] = &slab[i]
 	}
 	return out
 }
@@ -31,7 +36,11 @@ func Spaced(flow int, size sched.Work, n int, start, gap sim.Time) []*Packet {
 // Merge combines packet slices into one arrival-ordered slice. The sort is
 // stable, so same-instant packets keep their batch order.
 func Merge(batches ...[]*Packet) []*Packet {
-	var all []*Packet
+	n := 0
+	for _, b := range batches {
+		n += len(b)
+	}
+	all := make([]*Packet, 0, n)
 	for _, b := range batches {
 		all = append(all, b...)
 	}

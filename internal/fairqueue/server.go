@@ -97,15 +97,18 @@ func (s *Server) serviceEnd(t0 sim.Time, size float64) sim.Time {
 }
 
 // Run serves the given packets (which must be sorted by arrival time) to
-// completion, filling Began and Departed on each. It returns the packets
-// in service order.
+// completion and returns them in service order. It restamps every output
+// field of every packet — Start, Finish and the arrival order in the
+// algorithm's Arrive, Began and Departed here — so the same packets may
+// be served again under another algorithm, each run reading only its own
+// stamps.
 func (s *Server) Run(pkts []*Packet) []*Packet {
 	for i := 1; i < len(pkts); i++ {
 		if pkts[i].Arrive < pkts[i-1].Arrive {
 			panic("fairqueue: packets not sorted by arrival")
 		}
 	}
-	var served []*Packet
+	served := make([]*Packet, 0, len(pkts))
 	i := 0
 	now := sim.Time(0)
 	for {

@@ -83,19 +83,19 @@ func (g *gps) arrive(flow int, size float64, t sim.Time) (start, finish float64)
 // paper's first objection for CPU scheduling) and its reference clock
 // assumes constant capacity (the second).
 type WFQ struct {
+	flowQueues
 	weights []float64
 	ref     *gps
-	heap    packetHeap
-	seq     int
 }
 
 // NewWFQ returns a packet WFQ over flows with the given weights, assuming
 // server capacity is the constant capacity (work/second).
 func NewWFQ(capacity float64, weights []float64) *WFQ {
+	checkWeights(weights)
 	return &WFQ{
-		weights: weights,
-		ref:     newGPS(capacity, weights),
-		heap:    packetHeap{byFinish: true},
+		flowQueues: newFlowQueues(len(weights), true),
+		weights:    weights,
+		ref:        newGPS(capacity, weights),
 	}
 }
 
@@ -104,26 +104,16 @@ func (w *WFQ) Name() string { return "wfq" }
 
 // Arrive implements Algorithm.
 func (w *WFQ) Arrive(p *Packet, now sim.Time) {
-	checkFlow(w.weights, p.Flow)
+	checkPacket(w.weights, p)
 	p.Start, p.Finish = w.ref.arrive(p.Flow, float64(p.Size), now)
-	p.seq = w.seq
-	w.seq++
-	w.heap.push(p)
+	w.push(p)
 }
 
 // Dequeue implements Algorithm.
-func (w *WFQ) Dequeue(now sim.Time) *Packet {
-	if len(w.heap.pkts) == 0 {
-		return nil
-	}
-	return w.heap.pop()
-}
+func (w *WFQ) Dequeue(now sim.Time) *Packet { return w.pop() }
 
 // Complete implements Algorithm.
 func (w *WFQ) Complete(p *Packet, now sim.Time) {}
-
-// Backlogged implements Algorithm.
-func (w *WFQ) Backlogged() int { return len(w.heap.pkts) }
 
 // FQS is Fair Queuing based on Start-time [7]: WFQ's tags, but service in
 // start-tag order, which removes the need to know packet sizes at
@@ -131,15 +121,19 @@ func (w *WFQ) Backlogged() int { return len(w.heap.pkts) }
 // clock, so — as §6 notes — "it does not provide fairness when the
 // available CPU bandwidth fluctuates over time".
 type FQS struct {
+	flowQueues
 	weights []float64
 	ref     *gps
-	heap    packetHeap
-	seq     int
 }
 
 // NewFQS returns a packet FQS over flows with the given weights.
 func NewFQS(capacity float64, weights []float64) *FQS {
-	return &FQS{weights: weights, ref: newGPS(capacity, weights)}
+	checkWeights(weights)
+	return &FQS{
+		flowQueues: newFlowQueues(len(weights), false),
+		weights:    weights,
+		ref:        newGPS(capacity, weights),
+	}
 }
 
 // Name implements Algorithm.
@@ -147,23 +141,13 @@ func (f *FQS) Name() string { return "fqs" }
 
 // Arrive implements Algorithm.
 func (f *FQS) Arrive(p *Packet, now sim.Time) {
-	checkFlow(f.weights, p.Flow)
+	checkPacket(f.weights, p)
 	p.Start, p.Finish = f.ref.arrive(p.Flow, float64(p.Size), now)
-	p.seq = f.seq
-	f.seq++
-	f.heap.push(p)
+	f.push(p)
 }
 
 // Dequeue implements Algorithm.
-func (f *FQS) Dequeue(now sim.Time) *Packet {
-	if len(f.heap.pkts) == 0 {
-		return nil
-	}
-	return f.heap.pop()
-}
+func (f *FQS) Dequeue(now sim.Time) *Packet { return f.pop() }
 
 // Complete implements Algorithm.
 func (f *FQS) Complete(p *Packet, now sim.Time) {}
-
-// Backlogged implements Algorithm.
-func (f *FQS) Backlogged() int { return len(f.heap.pkts) }

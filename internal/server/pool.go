@@ -58,18 +58,24 @@ func newPool(workers, depth int, policy *tenantsched.Policy) *pool {
 				}
 				p.inFlight.Add(1)
 				start := time.Now()
-				task()
+				reply := task()
 				finish(time.Since(start))
 				p.inFlight.Add(-1)
 				p.done.Add(1)
+				// Counted first, replied second: a /metrics read made
+				// after the response already sees this task completed.
+				if reply != nil {
+					reply()
+				}
 			}
 		}()
 	}
 	return p
 }
 
-// Submit enqueues f under the tenant's class without blocking.
-func (p *pool) Submit(tenant, class string, f func()) error {
+// Submit enqueues f under the tenant's class without blocking. A worker
+// runs f, records its completion, then calls the reply f returned.
+func (p *pool) Submit(tenant, class string, f tenantsched.Task) error {
 	return p.q.Submit(tenant, class, f)
 }
 

@@ -652,13 +652,14 @@ func (s *Server) compute(r *http.Request, tenant, class string, fn func() ([]byt
 		err       error
 	}
 	ch := make(chan out, 1) // buffered: a worker never blocks on an abandoned request
-	submitErr := s.pool.Submit(tenant, class, func() {
+	submitErr := s.pool.Submit(tenant, class, func() func() {
+		var o out
 		if err := ctx.Err(); err != nil {
-			ch <- out{err: err} // request gave up while queued; skip the work
-			return
+			o.err = err // request gave up while queued; skip the work
+		} else {
+			o.body, o.cacheable, o.err = fn()
 		}
-		b, c, err := fn()
-		ch <- out{b, c, err}
+		return func() { ch <- o }
 	})
 	switch {
 	case errors.Is(submitErr, ErrQueueFull):

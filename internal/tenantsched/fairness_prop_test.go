@@ -48,10 +48,10 @@ func driveQueue(t *testing.T, q *Queue, tr tenantTrial) (gap, bound float64, nf,
 	rng := rand.New(rand.NewSource(tr.seed + 1))
 	var last string
 	for i := 0; i < tr.decisions+5; i++ {
-		if err := q.Submit("f", "simulate", func() { last = "f" }); err != nil {
+		if err := q.Submit("f", "simulate", func() func() { last = "f"; return nil }); err != nil {
 			t.Fatalf("submit f #%d: %v", i, err)
 		}
-		if err := q.Submit("g", "simulate", func() { last = "g" }); err != nil {
+		if err := q.Submit("g", "simulate", func() func() { last = "g"; return nil }); err != nil {
 			t.Fatalf("submit g #%d: %v", i, err)
 		}
 	}

@@ -53,12 +53,18 @@ type Options struct {
 	FallbackQuota int
 }
 
+// Task is one admitted request. Running it does the request's work and
+// returns the func that answers the requester, or nil. The consumer
+// calls Next's finish before that reply, so a request already counts as
+// completed when its requester hears back.
+type Task func() (reply func())
+
 // classQueue is one (tenant, endpoint class) FIFO, represented in the
 // scheduling tree by a single thread attached to the tenant's leaf node.
 type classQueue struct {
 	tn     *tenant
 	th     *sched.Thread
-	fifo   []func()
+	fifo   []Task
 	queued bool // thread currently in the structure's runnable set
 }
 
@@ -193,7 +199,7 @@ func (q *Queue) classLocked(tn *tenant, class string) *classQueue {
 // blocking: ErrDraining once Close has begun, or a *ShedError when the
 // tenant's backlog is at its quota. Admission is strictly per tenant — a
 // flooding tenant exhausts its own quota and nobody else's.
-func (q *Queue) Submit(tenantName, class string, task func()) error {
+func (q *Queue) Submit(tenantName, class string, task Task) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -249,9 +255,9 @@ func (q *Queue) retryAfterLocked(tn *tenant) time.Duration {
 // SFQ tree orders first: the root picks the tenant with the minimum
 // start tag, the tenant's leaf picks the class, the class FIFO yields
 // its head. The returned finish func MUST be called exactly once with
-// the request's measured service time; it performs the virtual-time
-// charge that keeps the tree fair.
-func (q *Queue) Next() (task func(), finish func(time.Duration), ok bool) {
+// the request's measured service time, and before the task's reply; it
+// performs the virtual-time charge that keeps the tree fair.
+func (q *Queue) Next() (task Task, finish func(time.Duration), ok bool) {
 	q.mu.Lock()
 	for q.backlog == 0 && !q.closed {
 		q.cond.Wait()

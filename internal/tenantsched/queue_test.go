@@ -24,7 +24,7 @@ func TestSingleTenantFIFOOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 5; i++ {
 		i := i
-		if err := q.Submit(DefaultTenant, "simulate", func() { got = append(got, i) }); err != nil {
+		if err := q.Submit(DefaultTenant, "simulate", func() func() { got = append(got, i); return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,11 +48,11 @@ func TestQuotaShedIsPerTenant(t *testing.T) {
 	}}
 	q := NewQueue(p, Options{})
 	for i := 0; i < 2; i++ {
-		if err := q.Submit("small", "simulate", func() {}); err != nil {
+		if err := q.Submit("small", "simulate", func() func() { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := q.Submit("small", "simulate", func() {})
+	err := q.Submit("small", "simulate", func() func() { return nil })
 	if !errors.Is(err, ErrShed) {
 		t.Fatalf("over-quota submit: %v, want ErrShed", err)
 	}
@@ -67,7 +67,7 @@ func TestQuotaShedIsPerTenant(t *testing.T) {
 		t.Errorf("RetryAfter %v < 1s floor", se.RetryAfter)
 	}
 	// The other tenant's admission is untouched by small's full queue.
-	if err := q.Submit("big", "simulate", func() {}); err != nil {
+	if err := q.Submit("big", "simulate", func() func() { return nil }); err != nil {
 		t.Fatalf("big tenant shed by small tenant's backlog: %v", err)
 	}
 	snaps, _ := q.Snapshot()
@@ -83,12 +83,12 @@ func TestDrainSemantics(t *testing.T) {
 	q := NewQueue(nil, Options{})
 	ran := 0
 	for i := 0; i < 3; i++ {
-		if err := q.Submit(DefaultTenant, "simulate", func() { ran++ }); err != nil {
+		if err := q.Submit(DefaultTenant, "simulate", func() func() { ran++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	q.Close()
-	if err := q.Submit(DefaultTenant, "simulate", func() {}); !errors.Is(err, ErrDraining) {
+	if err := q.Submit(DefaultTenant, "simulate", func() func() { return nil }); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit after Close: %v, want ErrDraining", err)
 	}
 	// Queued work still drains...
@@ -118,7 +118,7 @@ func TestNextBlocksUntilSubmit(t *testing.T) {
 		finish(time.Millisecond)
 	}()
 	time.Sleep(10 * time.Millisecond) // let the consumer block
-	if err := q.Submit(DefaultTenant, "simulate", func() {}); err != nil {
+	if err := q.Submit(DefaultTenant, "simulate", func() func() { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -139,10 +139,10 @@ func TestWeightedDispatchRatio(t *testing.T) {
 	q := NewQueue(p, Options{})
 	counts := map[string]int{}
 	for i := 0; i < 100; i++ {
-		if err := q.Submit("gold", "simulate", func() { counts["gold"]++ }); err != nil {
+		if err := q.Submit("gold", "simulate", func() func() { counts["gold"]++; return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if err := q.Submit("bronze", "simulate", func() { counts["bronze"]++ }); err != nil {
+		if err := q.Submit("bronze", "simulate", func() func() { counts["bronze"]++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -164,7 +164,7 @@ func TestSetPolicyReload(t *testing.T) {
 	q := NewQueue(&Policy{Tenants: map[string]TenantPolicy{
 		"a": {Weight: 1, Quota: 4},
 	}}, Options{})
-	if err := q.Submit("a", "simulate", func() {}); err != nil {
+	if err := q.Submit("a", "simulate", func() func() { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	q.SetPolicy(&Policy{Tenants: map[string]TenantPolicy{
@@ -175,12 +175,12 @@ func TestSetPolicyReload(t *testing.T) {
 		t.Errorf("after reload: %+v", snaps["a"])
 	}
 	// The shrunk quota bites immediately: backlog 1 >= quota 1.
-	if err := q.Submit("a", "simulate", func() {}); !errors.Is(err, ErrShed) {
+	if err := q.Submit("a", "simulate", func() func() { return nil }); !errors.Is(err, ErrShed) {
 		t.Fatalf("submit over shrunk quota: %v, want ErrShed", err)
 	}
 	// New tenants are created under the new policy's defaults.
 	q.SetPolicy(&Policy{DefaultWeight: 2})
-	if err := q.Submit("fresh", "simulate", func() {}); err != nil {
+	if err := q.Submit("fresh", "simulate", func() func() { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	snaps, _ = q.Snapshot()
@@ -203,21 +203,21 @@ func TestRetryAfterTracksTenantBacklog(t *testing.T) {
 	}}
 	q := NewQueue(p, Options{Workers: 1})
 	// One completed 2s request seeds the EWMA.
-	if err := q.Submit("deep", "simulate", func() {}); err != nil {
+	if err := q.Submit("deep", "simulate", func() func() { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	drainOne(t, q, 2*time.Second)
 
 	for i := 0; i < 8; i++ {
-		if err := q.Submit("deep", "simulate", func() {}); err != nil {
+		if err := q.Submit("deep", "simulate", func() func() { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := q.Submit("shallow", "simulate", func() {}); err != nil {
+	if err := q.Submit("shallow", "simulate", func() func() { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	shedAfter := func(tenant string) time.Duration {
-		err := q.Submit(tenant, "simulate", func() {})
+		err := q.Submit(tenant, "simulate", func() func() { return nil })
 		var se *ShedError
 		if !errors.As(err, &se) {
 			t.Fatalf("submit %s: %v, want *ShedError", tenant, err)
@@ -276,10 +276,11 @@ func TestConcurrentStress(t *testing.T) {
 				defer producers.Done()
 				for i := 0; i < 50; i++ {
 					id := base*1000 + i
-					err := q.Submit(tenant, "simulate", func() {
+					err := q.Submit(tenant, "simulate", func() func() {
 						if _, dup := executed.LoadOrStore(id, true); dup {
 							t.Errorf("task %d executed twice", id)
 						}
+						return nil
 					})
 					mu.Lock()
 					if err != nil {
