@@ -106,7 +106,8 @@ tenant-smoke:
 # the wire round trip and vary with the seed, and no byte stream may
 # panic the trace-frame decoder or make it allocate unboundedly, and the
 # packet fair-queuing algorithms must serve in the order of a reference
-# model that scans every queued packet.
+# model that scans every queued packet, and trace rows must be the bytes
+# of the fmt format they are specified by.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/simconfig
 	$(GO) test -run '^$$' -fuzz FuzzJobKey -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sweep
@@ -114,13 +115,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzTraceFrameDecode -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/tracestream
 	$(GO) test -run '^$$' -fuzz FuzzPacketOrder -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/fairqueue
+	$(GO) test -run '^$$' -fuzz FuzzAppendRow -fuzztime $(FUZZ_TIME) -fuzzminimizetime 1x ./internal/trace
 
 # Run-to-run determinism and throughput smoke. Each shipped config below
 # runs twice and must produce byte-identical stdout and trace CSV (the
 # traces are written to the same path in turn so the echoed filename
 # matches too); then the event-storm and whole-run throughput
-# microbenchmarks, the packet algorithms and the two packet-level
-# ablations take a short sample.
+# microbenchmarks, the packet algorithms, the two packet-level ablations
+# and the trace digest and recording broadcaster take a short sample.
 bench-smoke:
 	$(GO) build -o /tmp/hsfqsim ./cmd/hsfqsim
 	for cfg in video-server interrupt-storm; do \
@@ -134,6 +136,8 @@ bench-smoke:
 	done
 	$(GO) test -run '^$$' -bench 'BenchmarkEventStorm|BenchmarkSimThroughput|BenchmarkPacketAlgorithms|BenchmarkAblationFairness|BenchmarkAblationDelay' \
 		-benchmem -benchtime $(BENCH_SMOKE_TIME) .
+	$(GO) test -run '^$$' -bench 'BenchmarkHasher|BenchmarkBroadcasterRecording' \
+		-benchmem -benchtime $(BENCH_SMOKE_TIME) ./internal/trace ./internal/tracestream
 
 # Distributed dispatch end to end over real processes: a 64-job sweep
 # across two hsfqd daemons (one SIGKILLed mid-sweep, hedging on) must be

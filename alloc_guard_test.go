@@ -357,6 +357,28 @@ func packetAlgorithms(weights []float64) []fairqueue.Algorithm {
 	}
 }
 
+// queueBacklog queues 64 caller-owned packets spread evenly over the
+// flows: the standing backlog cyclePacket serves from.
+func queueBacklog(alg fairqueue.Algorithm, flows int) {
+	backlog := make([]fairqueue.Packet, 64)
+	for i := range backlog {
+		backlog[i] = fairqueue.Packet{Flow: i % flows, Size: 1000}
+		alg.Arrive(&backlog[i], 0)
+	}
+}
+
+// cyclePacket is one Dequeue+Complete+Arrive step at a standing backlog:
+// it serves the next packet and queues that same packet again on its own
+// flow, so the backlog keeps its size and per-flow mix and no packet is
+// rewritten while it is queued.
+func cyclePacket(alg fairqueue.Algorithm, now sim.Time) {
+	q := alg.Dequeue(now)
+	now += sim.Millisecond
+	alg.Complete(q, now)
+	*q = fairqueue.Packet{Flow: q.Flow, Size: 1000, Arrive: now}
+	alg.Arrive(q, now)
+}
+
 // TestPacketAlgorithmsDoNotAllocate guards the packet servers' hot path:
 // queued packets are linked through the packets themselves, one FIFO per
 // flow, so an Arrive+Dequeue+Complete cycle on caller-owned packets
@@ -365,24 +387,17 @@ func TestPacketAlgorithmsDoNotAllocate(t *testing.T) {
 	weights := []float64{1, 2, 3, 4}
 	for _, alg := range packetAlgorithms(weights) {
 		t.Run(alg.Name(), func(t *testing.T) {
-			backlog := make([]fairqueue.Packet, 64)
-			for i := range backlog {
-				backlog[i] = fairqueue.Packet{Flow: i % len(weights), Size: 1000}
-				alg.Arrive(&backlog[i], 0)
-			}
-			pkts := make([]fairqueue.Packet, 256)
-			now, i := sim.Time(0), 0
+			queueBacklog(alg, len(weights))
+			now := sim.Time(0)
 			allocs := testing.AllocsPerRun(1000, func() {
-				p := &pkts[i%len(pkts)]
-				i++
-				*p = fairqueue.Packet{Flow: i % len(weights), Size: 1000, Arrive: now}
-				alg.Arrive(p, now)
-				q := alg.Dequeue(now)
+				cyclePacket(alg, now)
 				now += sim.Millisecond
-				alg.Complete(q, now)
 			})
 			if allocs != 0 {
 				t.Fatalf("%s Arrive/Dequeue/Complete allocates %v times per packet, want 0", alg.Name(), allocs)
+			}
+			if got := alg.Backlogged(); got != 64 {
+				t.Fatalf("%s: backlog %d after cycling, want 64", alg.Name(), got)
 			}
 		})
 	}

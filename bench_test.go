@@ -7,7 +7,6 @@ import (
 	"hsfq/internal/core"
 	"hsfq/internal/cpu"
 	"hsfq/internal/experiments"
-	"hsfq/internal/fairqueue"
 	"hsfq/internal/sched"
 	"hsfq/internal/sim"
 )
@@ -169,20 +168,20 @@ func BenchmarkMachineSimulation(b *testing.B) {
 }
 
 // BenchmarkPacketAlgorithms measures packet-level Arrive+Dequeue+Complete
-// across the fair queuing family, in a fixed order.
+// across the fair queuing family, in a fixed order, at a standing
+// backlog of 64 preallocated packets spread over every flow (cyclePacket
+// re-queues each served packet), so an op is the queueing work alone.
 func BenchmarkPacketAlgorithms(b *testing.B) {
 	weights := []float64{1, 2, 3, 4}
 	for _, alg := range packetAlgorithms(weights) {
 		b.Run(alg.Name(), func(b *testing.B) {
+			queueBacklog(alg, len(weights))
 			b.ReportAllocs()
 			b.ResetTimer()
 			now := sim.Time(0)
 			for i := 0; i < b.N; i++ {
-				p := &fairqueue.Packet{Flow: i % 4, Size: 1000, Arrive: now}
-				alg.Arrive(p, now)
-				q := alg.Dequeue(now)
+				cyclePacket(alg, now)
 				now += sim.Millisecond
-				alg.Complete(q, now)
 			}
 		})
 	}

@@ -41,6 +41,7 @@ import (
 
 	"hsfq/internal/simconfig"
 	"hsfq/internal/sweep"
+	"hsfq/internal/trace"
 	"hsfq/internal/tracediff"
 	"hsfq/internal/tracestream"
 )
@@ -246,7 +247,7 @@ func streamLeg(addr string) error {
 	}
 	dec := tracestream.NewDecoder()
 	dec.Feed(frames)
-	rd := tracestream.NewRowDigest(1)
+	rd := trace.NewRowDigest(1)
 	var endDigest string
 	for {
 		f, err := dec.Next()
@@ -258,7 +259,7 @@ func streamLeg(addr string) error {
 		}
 		switch f.Type {
 		case tracestream.FrameHeader:
-			rd = tracestream.NewRowDigest(f.NumCores)
+			rd = trace.NewRowDigest(f.NumCores)
 		case tracestream.FrameEvent:
 			rd.Add(f.Event)
 		case tracestream.FrameEnd:

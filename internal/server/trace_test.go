@@ -136,7 +136,7 @@ func TestTraceRawAndViews(t *testing.T) {
 	}
 	dec := tracestream.NewDecoder()
 	dec.Feed(raw)
-	rd := tracestream.NewRowDigest(1)
+	rd := trace.NewRowDigest(1)
 	var endDigest string
 	for {
 		f, err := dec.Next()

@@ -204,11 +204,29 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 // two event streams are "equal" (hsfqdiff's replay comparison, the
 // tracestream follow protocol, tracesmoke) renders rows through this one
 // function, so digest equality and row equality can never drift apart.
+//
+// The row is the bytes of fmt's "%d,%s,%s,%d,%d,%t,%d" (plus ",%d" for
+// the core) over at, kind, thread, tid, used, runnable and service,
+// built with strconv so that it allocates nothing; the fmt form is kept
+// in the tests as the format's spec. Changing any byte here changes
+// every trace digest.
 func AppendRow(buf []byte, e Event, numCores int) []byte {
-	buf = fmt.Appendf(buf, "%d,%s,%s,%d,%d,%t,%d",
-		int64(e.At), e.Kind, e.Thread, e.ThreadID, int64(e.Used), e.Runnable, int64(e.Service))
+	buf = strconv.AppendInt(buf, int64(e.At), 10)
+	buf = append(buf, ',')
+	buf = append(buf, e.Kind...)
+	buf = append(buf, ',')
+	buf = append(buf, e.Thread...)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(e.ThreadID), 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(e.Used), 10)
+	buf = append(buf, ',')
+	buf = strconv.AppendBool(buf, e.Runnable)
+	buf = append(buf, ',')
+	buf = strconv.AppendInt(buf, int64(e.Service), 10)
 	if numCores > 1 {
-		buf = fmt.Appendf(buf, ",%d", e.Core)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, int64(e.Core), 10)
 	}
 	return append(buf, '\n')
 }

@@ -1,9 +1,6 @@
 package tracestream
 
 import (
-	"crypto/sha256"
-	"fmt"
-	"hash"
 	"sync"
 	"sync/atomic"
 
@@ -12,38 +9,6 @@ import (
 	"hsfq/internal/sim"
 	"hsfq/internal/trace"
 )
-
-// RowDigest folds canonical event rows (trace.AppendRow) into a running
-// SHA-256 — the same digest trace.Hasher computes from machine callbacks,
-// but fed with already-materialized trace.Events. The Broadcaster uses it
-// for recordings; stream clients use it to verify what they received.
-type RowDigest struct {
-	h        hash.Hash
-	buf      []byte
-	rows     int
-	numCores int
-}
-
-// NewRowDigest returns an empty digest for a numCores-wide stream.
-func NewRowDigest(numCores int) *RowDigest {
-	if numCores < 1 {
-		numCores = 1
-	}
-	return &RowDigest{h: sha256.New(), numCores: numCores}
-}
-
-// Add folds one event into the digest.
-func (d *RowDigest) Add(e trace.Event) {
-	d.buf = trace.AppendRow(d.buf[:0], e, d.numCores)
-	d.h.Write(d.buf)
-	d.rows++
-}
-
-// Rows returns how many events have been folded in.
-func (d *RowDigest) Rows() int { return d.rows }
-
-// Sum returns the hex digest so far without disturbing the state.
-func (d *RowDigest) Sum() string { return fmt.Sprintf("%x", d.h.Sum(nil)) }
 
 // Recording is a finished trace stream: the encoded frames (header,
 // threads, events, terminated by an end frame) plus the digest metadata,
@@ -68,7 +33,9 @@ type Recording struct {
 // every scheduling event into the wire format and fans it out to any
 // number of subscribers through bounded per-subscriber buffers. With no
 // subscriber attached and recording disabled, the hot path is a single
-// atomic load — 0 allocs/op, enforced by an alloc-guard test.
+// atomic load; with recording on it encodes, hashes and appends the
+// event. Both are 0 allocs/op, apart from the recording's amortized
+// growth, enforced by alloc-guard tests.
 //
 // Lifecycle: New → [EnableRecording] → Machine.Listen (sets the core
 // count) → Begin(meta) → run → Finish(). Subscribe works at any point;
@@ -92,7 +59,7 @@ type Broadcaster struct {
 	// Recording state (nil digest = recording disabled).
 	recCap    int
 	recFrames []byte
-	recDigest *RowDigest
+	recDigest *trace.RowDigest
 	recTrunc  bool
 	recLost   uint64
 }
@@ -109,7 +76,7 @@ func (b *Broadcaster) EnableRecording(maxBytes int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.recCap = maxBytes
-	b.recDigest = NewRowDigest(b.numCores)
+	b.recDigest = trace.NewRowDigest(b.numCores)
 	b.active.Store(true)
 }
 
@@ -123,7 +90,7 @@ func (b *Broadcaster) SetNumCores(n int) {
 	defer b.mu.Unlock()
 	b.numCores = n
 	if b.recDigest != nil && b.recDigest.Rows() == 0 {
-		b.recDigest = NewRowDigest(n)
+		b.recDigest = trace.NewRowDigest(n)
 	}
 }
 
@@ -265,8 +232,10 @@ func (b *Broadcaster) event(e trace.Event) {
 	}
 	b.scratch = AppendEventFrame(b.scratch[:0], e)
 	b.record(&e, b.scratch)
-	for s := range b.subs {
-		s.push(b.scratch, true)
+	if len(b.subs) > 0 {
+		for s := range b.subs {
+			s.push(b.scratch, true)
+		}
 	}
 	b.mu.Unlock()
 }

@@ -90,7 +90,7 @@ func TestBroadcasterStreamMatchesHasher(t *testing.T) {
 	// The live subscriber's stream re-hashes to the same digest.
 	dec := NewDecoder()
 	frames := drainDecode(t, sub, dec)
-	rd := NewRowDigest(1)
+	rd := trace.NewRowDigest(1)
 	var end *Frame
 	for _, f := range frames {
 		switch f.Type {
@@ -101,7 +101,7 @@ func TestBroadcasterStreamMatchesHasher(t *testing.T) {
 		case frameEnd:
 			end = f
 		case frameHeader:
-			rd = NewRowDigest(f.NumCores)
+			rd = trace.NewRowDigest(f.NumCores)
 		}
 	}
 	if end == nil {
@@ -125,7 +125,7 @@ func TestLateSubscriberSeededFromRecording(t *testing.T) {
 
 	// Subscribing after Finish replays the whole recording.
 	sub := b.Subscribe(0)
-	rd := NewRowDigest(1)
+	rd := trace.NewRowDigest(1)
 	var sawEnd bool
 	for _, f := range drainDecode(t, sub, NewDecoder()) {
 		switch f.Type {
@@ -237,5 +237,54 @@ func TestBroadcasterNoSubscriberZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("no-subscriber hot path allocates %v allocs/op, want 0", allocs)
+	}
+}
+
+func feedBroadcaster(b *Broadcaster, th *sched.Thread) {
+	b.OnDispatch(th, 10)
+	b.OnCharge(th, 1000, 20, true)
+	b.OnInterrupt(25, 3)
+	b.OnIdle(30)
+	b.OnDispatchCore(1, th, 40)
+	b.OnChargeCore(1, th, 500, 50, false)
+	b.OnIdleCore(1, 60)
+}
+
+// TestBroadcasterRecordingZeroAllocs guards the path hsfqd runs on every
+// job: recording on, no subscriber. Encoding the frame, rendering the
+// digest row and hashing it allocate nothing; the cap is hit before
+// measuring so the recording's own growth is not counted.
+func TestBroadcasterRecordingZeroAllocs(t *testing.T) {
+	b := New()
+	b.EnableRecording(1 << 12)
+	b.Begin([]trace.ThreadMeta{{TID: 1, Name: "worker", Depth: 1, Path: "/w"}})
+	th := sched.NewThread(1, "worker", 1)
+	for !b.Snapshot().Truncated {
+		feedBroadcaster(b, th)
+	}
+	allocs := testing.AllocsPerRun(1000, func() { feedBroadcaster(b, th) })
+	if allocs != 0 {
+		t.Fatalf("recording hot path allocates %v allocs/op, want 0", allocs)
+	}
+}
+
+// BenchmarkBroadcasterRecording measures one op of seven events through
+// a recording broadcaster with no subscriber, as hsfqd runs every job.
+// The recording is rewound to its opening frames whenever it nears the
+// cap, so every event is encoded, hashed and appended, never dropped.
+func BenchmarkBroadcasterRecording(b *testing.B) {
+	const recCap = 1 << 20
+	bc := New()
+	bc.EnableRecording(recCap)
+	bc.Begin([]trace.ThreadMeta{{TID: 1, Name: "worker", Depth: 1, Path: "/w"}})
+	opening := len(bc.recFrames)
+	th := sched.NewThread(1, "worker", 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(bc.recFrames) > recCap-1024 {
+			bc.recFrames = bc.recFrames[:opening]
+		}
+		feedBroadcaster(bc, th)
 	}
 }

@@ -134,6 +134,45 @@ func TestDecoderRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestKindCodesPinned holds the wire codes to the table the format was
+// published with: kindCode and codeKinds may be rewritten, but no kind
+// may ever be renumbered.
+func TestKindCodesPinned(t *testing.T) {
+	published := map[trace.Kind]byte{
+		trace.Dispatch:  0,
+		trace.Charge:    1,
+		trace.Wake:      2,
+		trace.Block:     3,
+		trace.Exit:      4,
+		trace.Interrupt: 5,
+		trace.Idle:      6,
+	}
+	if len(codeKinds) != len(published) {
+		t.Fatalf("codeKinds has %d codes, the format %d", len(codeKinds), len(published))
+	}
+	for k, c := range published {
+		if got := kindCode(k); got != c {
+			t.Errorf("kindCode(%s) = %d, format says %d", k, got, c)
+		}
+		if codeKinds[c] != k {
+			t.Errorf("codeKinds[%d] = %s, format says %s", c, codeKinds[c], k)
+		}
+		dec := NewDecoder()
+		dec.Feed(AppendEventFrame(nil, trace.Event{At: 3, Kind: k}))
+		if f, err := dec.Next(); err != nil || f == nil || f.Event.Kind != k {
+			t.Errorf("%s: round trip gave %+v, %v", k, f, err)
+		}
+	}
+	if got := kindCode("unknown"); got != 0xff {
+		t.Errorf("kindCode(unknown) = %#x, want 0xff", got)
+	}
+	dec := NewDecoder()
+	dec.Feed(AppendEventFrame(nil, trace.Event{Kind: "unknown"}))
+	if _, err := dec.Next(); err == nil {
+		t.Error("decoder accepted an event of unknown kind")
+	}
+}
+
 func TestDecoderCompaction(t *testing.T) {
 	// Many small feeds with interleaved frame boundaries must not grow the
 	// internal buffer without bound.
